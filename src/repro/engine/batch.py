@@ -99,7 +99,7 @@ def clear_plan_cache() -> None:
 def _job_key(
     alg: str, m: int, n: int, P: int, dtype, params: dict,
     workers: int | None, cost_params: CostParams | None, validate: bool,
-    backend_name: str, compile_plans: bool,
+    backend_name: str,
 ) -> tuple:
     # Every field that changes the cached artifact must be here.
     # workers and cost_params are part of plan identity: a cached plan
@@ -109,23 +109,19 @@ def _job_key(
     # not re-execute on every replay.  The backend name is as well --
     # "parallel" and "parallel-mp" plans carry different engines (thread
     # pool vs forked process pool) and must never alias in the cache.
-    # And so is the compile flag: a cached plan's engine holds a
-    # compiled schedule (or deliberately none), so a compiled stream and
-    # a --no-compile A/B stream must never share an entry.
     return (
         alg, m, n, P, np.dtype(dtype).str, tuple(sorted(params.items())),
-        workers, cost_params, validate, backend_name, compile_plans,
+        workers, cost_params, validate, backend_name,
     )
 
 
 def _build(
     alg: str, A: np.ndarray, P: int, params: dict,
     workers: int | None, cost_params: CostParams | None,
-    backend: Backend, validate: bool, compile: bool | None = None,
+    backend: Backend, validate: bool,
 ) -> _CachedPlan:
     """First job of a shape: run the full driver once, keep the plan."""
-    machine = Machine(P, params=cost_params, backend=backend, workers=workers,
-                      compile=compile)
+    machine = Machine(P, params=cost_params, backend=backend, workers=workers)
     resolved = dict(params)
     factors, diag_fn, slicer = drive(alg, machine, A, resolved, validate=validate)
     n_blocks = len(slicer(A))
@@ -169,7 +165,6 @@ def run_many(
     plan_with: str | CostParams | None = None,
     cost_params: CostParams | None = None,
     backend: str | Backend = "parallel",
-    compile: bool | None = None,
 ) -> list[RunResult]:
     """Factor a stream of matrices, amortizing plans across the stream.
 
@@ -198,10 +193,6 @@ def run_many(
         default ``"parallel"`` amortizes plans by replay; any
         non-parallel backend runs each job through the one-shot
         harness :func:`repro.workloads.run_qr` instead.
-    compile:
-        ``False`` disables the :mod:`repro.engine.compile` pass on the
-        engine backends (the A/B debugging baseline); ``None`` keeps
-        the engine default (on).  Part of the plan-cache key.
     """
     impl = resolve_backend(backend)
     rec = current_recorder()
@@ -239,7 +230,7 @@ def run_many(
             results.append(
                 run_qr(alg, A, P=P_job, cost_params=cost_params,
                        validate=validate, backend=impl, workers=workers,
-                       compile=compile, **params)
+                       **params)
             )
             if rec.enabled:
                 rec.job_span(
@@ -249,8 +240,7 @@ def run_many(
             continue
 
         key = _job_key(alg, m, n, P_job, A.dtype, params, workers, cost_params,
-                       validate, impl.name,
-                       compile if compile is not None else True)
+                       validate, impl.name)
         cached = _PLAN_CACHE.get(key)
         hit = cached is not None
         if rec.enabled:
@@ -259,7 +249,7 @@ def run_many(
             )
         if not hit:
             cached = _build(alg, A, P_job, params, workers, cost_params, impl,
-                            validate, compile)
+                            validate)
             _PLAN_CACHE[key] = cached
             factors = cached.machine.materialize(cached.lazy_factors)
         else:

@@ -1,26 +1,26 @@
 """The engine proper: run an execution plan on a real thread pool.
 
-:class:`Engine` executes a :class:`~repro.engine.plan.Plan` with
-dataflow scheduling: a task becomes eligible when all of its
-dependencies (dataflow edges, program order within its rank's stream,
-barriers) have completed, and eligible tasks of *different* ranks run
-concurrently on a ``ThreadPoolExecutor``.  The local kernels the tasks
-wrap -- LAPACK factorizations, BLAS multiplies -- release the GIL, so
-with ``workers > 1`` on a multi-core host the per-rank streams execute
-genuinely in parallel, which is the machine model's DAG semantics made
-physical.
+:class:`Engine` executes a :class:`~repro.engine.plan.Plan` through its
+compiled schedule (:func:`repro.engine.compile.compile_plan`): rank
+``r``'s task stream belongs to worker ``r % workers``, each worker walks
+its stream in tid order -- a topological order, so the walk is
+deadlock-free by construction -- and runs fused chains of same-rank
+tasks back to back with pre-resolved arguments.  The schedule is
+compiled once per plan and reused by every replay
+(:func:`repro.engine.run_many`).  With ``workers > 1`` each live stream
+is one ``ThreadPoolExecutor`` job; the local kernels the tasks wrap --
+LAPACK factorizations, BLAS multiplies -- release the GIL, so on a
+multi-core host the per-rank streams execute genuinely in parallel,
+which is the machine model's DAG semantics made physical.
+``workers=1`` has a single stream and runs it in the caller's thread.
 
-Cross-rank dependencies are *rendezvous* edges: the producer publishes
-its value through a one-shot blocking
-:class:`~repro.collectives.rendezvous.Rendezvous` slot and the consumer
-takes it from there (never from shared state), with a timeout guard
-that raises instead of deadlocking.  Every collective's tree edges,
-pairwise exchanges, and routed bundles synchronize this way.
-
-``workers=1`` bypasses the pool and runs tasks inline in topological
-order -- the fastest mode on a single core and the mode plan *replay*
-(:func:`repro.engine.run_many`) uses to amortize a cached plan over a
-stream of jobs.
+Edges between tasks on different workers are *rendezvous* edges: the
+producer publishes its value through a one-shot blocking
+:class:`~repro.collectives.rendezvous.RendezvousGroup` slot and the
+consumer takes it from there, with a timeout guard that raises instead
+of deadlocking.  Every collective's tree edges, pairwise exchanges, and
+routed bundles that cross workers synchronize this way; edges within a
+worker are plain reads in program order.
 
 **Failure semantics.**  When any task raises, the engine *aborts* the
 attempt: every wired-but-unpublished rendezvous is poisoned with the
@@ -51,7 +51,7 @@ from typing import Any
 # one diagnostic story.
 from repro.collectives.rendezvous import DEFAULT_TIMEOUT, RendezvousGroup
 from repro.engine.compile import CompiledPlan, bind_stream, compile_plan
-from repro.engine.plan import EngineError, Plan, Ref, Task
+from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
 
@@ -71,9 +71,9 @@ def _clear_poison(plan: Plan) -> None:
 
     After an aborted attempt the unpublished slots carry the failure as
     poison, and even a *done* producer may hold an aborted slot (its put
-    lost the race and was dropped).  ``_resolve_args`` would consult
-    those stale slots, so drop them all: done producers are read
-    directly, and re-wiring gives the rest fresh slots.
+    lost the race and was dropped).  Drop them all: consumers read done
+    producers directly, and :meth:`Engine._execute_compiled` wires fresh
+    slots on the producers that have yet to run.
     """
     for task in plan.tasks:
         task.rendezvous = None
@@ -86,55 +86,6 @@ def default_workers() -> int:
     except AttributeError:  # pragma: no cover - non-Linux
         cores = os.cpu_count() or 1
     return max(1, min(8, cores))
-
-
-def _resolve_args(
-    obj: Any,
-    consumer_rank: int | None,
-    timeout: float,
-    rec: Any = None,
-    waits: list[float] | None = None,
-) -> Any:
-    """Materialize the :class:`Ref` handles inside a task's arguments.
-
-    A cross-rank reference is taken from the producer's rendezvous slot
-    (blocking, with the deadlock-guard timeout); a same-rank or
-    rankless reference reads the producer's value directly -- that edge
-    is ordinary program order, not a message.
-
-    With an enabled telemetry recorder ``rec``, every blocking take is
-    timed: the seconds accumulate into ``waits[0]`` (the consuming
-    task's wait share) and are attributed per producer through
-    :meth:`~repro.telemetry.TelemetryRecorder.rendezvous_wait`.
-    """
-    if isinstance(obj, Ref):
-        task = obj.task
-        if (
-            task.rendezvous is not None
-            and task.rank is not None
-            and task.rank != consumer_rank
-        ):
-            if rec is not None:
-                t0 = time.perf_counter()
-                value = task.rendezvous.get(timeout, consumer=consumer_rank)
-                waited = time.perf_counter() - t0
-                waits[0] += waited
-                rec.rendezvous_wait(task.label, consumer_rank, waited)
-            else:
-                value = task.rendezvous.get(timeout, consumer=consumer_rank)
-        else:
-            value = task.value
-        return value if obj.index is None else value[obj.index]
-    if isinstance(obj, list):
-        return [_resolve_args(o, consumer_rank, timeout, rec, waits) for o in obj]
-    if isinstance(obj, tuple):
-        return tuple(_resolve_args(o, consumer_rank, timeout, rec, waits) for o in obj)
-    if isinstance(obj, dict):
-        return {
-            k: _resolve_args(v, consumer_rank, timeout, rec, waits)
-            for k, v in obj.items()
-        }
-    return obj
 
 
 class Engine:
@@ -159,7 +110,7 @@ class Engine:
         #: currently installed recorder.
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         #: Deterministic fault injection (duck-typed FaultPlan); consulted
-        #: once per task-step in :meth:`_run_task`.
+        #: once per task-step in :meth:`_run_stream`.
         self.fault_plan = fault_plan
         #: Recovery policy (duck-typed; see repro.faults.policy).  When a
         #: RankFailure escapes an attempt, ``handle(failure, plan, self,
@@ -169,11 +120,6 @@ class Engine:
         #: Checksum context installed by repro.faults.coded.run_coded_qr;
         #: CodedRecovery reads it to reconstruct a dead rank's block.
         self.coded_ctx = None
-        #: Run plans through the :mod:`repro.engine.compile` pass (task
-        #: fusion, worker affinity, pre-resolved args).  Off, the engine
-        #: uses the original dataflow scheduler -- the A/B baseline the
-        #: conformance tests and ``--no-compile`` exercise.
-        self.compile = True
         # Compiled-schedule cache: one compile+bind per plan object,
         # invalidated when the plan grows (incremental materialize).
         self._cplan: CompiledPlan | None = None
@@ -214,16 +160,9 @@ class Engine:
             pending = [t for t in plan.tasks if not t.done]
             if not pending:
                 return
-            compiled = self._compiled(plan) if self.compile else None
-            if compiled is None:
-                self._wire_rendezvous(plan, pending)
+            self._compile(plan)
             try:
-                if compiled is not None:
-                    self._execute_compiled(pending, timeout)
-                elif self.workers == 1:
-                    self._execute_inline(pending, timeout)
-                else:
-                    self._execute_pool(plan, pending, timeout)
+                self._execute_compiled(pending, timeout)
             except RankFailure as failure:
                 # Tasks that finished before the failure stay done; count
                 # them now because the success path below won't run.
@@ -250,82 +189,6 @@ class Engine:
             self.tasks_run += len(pending)
             return
 
-    def _wire_rendezvous(self, plan: Plan, pending: list[Task]) -> None:
-        """Attach a rendezvous slot to every cross-rank-consumed producer.
-
-        A producer with several cross-rank consumers -- the broadcast/
-        reduce-along-a-grid-row fans of the 2D algorithms -- gets a
-        :class:`RendezvousGroup` declaring the consuming ranks, so a
-        starved take names the rank and an undeclared take fails loudly.
-        """
-        fans: dict[int, set[int]] = {}
-        producers: dict[int, Task] = {}
-        for task in pending:
-            for dep in task.deps:
-                if (
-                    dep.rank is not None
-                    and task.rank is not None
-                    and dep.rank != task.rank
-                    and dep.rendezvous is None
-                    # A producer that already ran (incremental
-                    # materialize) will never publish again; its value
-                    # is read directly, like a same-rank edge.
-                    and not dep.done
-                ):
-                    fans.setdefault(dep.tid, set()).add(task.rank)
-                    producers[dep.tid] = dep
-        for tid, consumers in fans.items():
-            dep = producers[tid]
-            dep.rendezvous = RendezvousGroup(
-                consumers,
-                label=(
-                    f"t{dep.tid}:{dep.label} "
-                    f"rank{dep.rank}->ranks{sorted(consumers)}"
-                ),
-                producer=f"t{dep.tid}:{dep.label} (rank {dep.rank})",
-            )
-
-    def _run_task(self, task: Task, timeout: float) -> None:
-        fp = self.fault_plan
-        if fp is not None and task.rank is not None:
-            # Deterministic injection point: counts this rank's task-steps
-            # and raises RankFailure when the plan says this rank dies here.
-            fp.on_task(task.rank, task.label, telemetry=self.telemetry)
-        rec = self.telemetry
-        if not rec.enabled:
-            args = _resolve_args(task.args, task.rank, timeout)
-            task.value = task.fn(*args)
-            if task.rendezvous is not None:
-                task.rendezvous.put(task.value)
-            task.done = True
-            return
-        # Telemetry path: the span covers resolve (rendezvous waits) +
-        # kernel + publish; the wait share is recorded separately so the
-        # drift report can attribute blocked time per phase.
-        t0 = rec.now()
-        waits = [0.0]
-        args = _resolve_args(task.args, task.rank, timeout, rec, waits)
-        task.value = task.fn(*args)
-        if task.rendezvous is not None:
-            task.rendezvous.put(task.value)
-        task.done = True
-        rec.task_span(task.label, task.tid, task.rank, t0, rec.now() - t0, waits[0])
-
-    def _execute_inline(self, pending: list[Task], timeout: float) -> None:
-        """Single-worker mode: run in topological (creation) order."""
-        for task in pending:
-            try:
-                self._run_task(task, timeout)
-            except RankFailure:
-                # Typed fault-injection failure: propagate unwrapped so
-                # execute()'s recovery loop (or the caller) sees the rank
-                # and step, not an EngineExecutionError shell.
-                raise
-            except Exception as exc:
-                raise EngineExecutionError(
-                    f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
-                ) from exc
-
     @staticmethod
     def _abort(pending: list[Task], cause: BaseException) -> None:
         """Unblock every rendezvous consumer after a failure or deadlock.
@@ -341,80 +204,16 @@ class Engine:
             if rv is not None and not rv.ready:
                 rv.abort(cause)
 
-    def _execute_pool(self, plan: Plan, pending: list[Task], timeout: float) -> None:
-        """Dataflow scheduling onto a thread pool."""
-        waiting: dict[int, int] = {}
-        children: dict[int, list[Task]] = {}
-        for task in pending:
-            open_deps = [d for d in task.deps if not d.done]
-            waiting[task.tid] = len(open_deps)
-            for d in open_deps:
-                children.setdefault(d.tid, []).append(task)
-
-        done_q: "queue.SimpleQueue[tuple[Task, BaseException | None]]" = queue.SimpleQueue()
-
-        def run(task: Task) -> None:
-            try:
-                self._run_task(task, timeout)
-                done_q.put((task, None))
-            except BaseException as exc:  # noqa: BLE001 - reported to the driver
-                done_q.put((task, exc))
-
-        remaining = len(pending)
-        failure: tuple[Task, BaseException] | None = None
-        deadlock: EngineDeadlockError | None = None
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for task in pending:
-                if waiting[task.tid] == 0:
-                    pool.submit(run, task)
-            while remaining:
-                try:
-                    task, exc = done_q.get(timeout=timeout)
-                except queue.Empty:
-                    deadlock = EngineDeadlockError(
-                        f"no task completed within {timeout}s; "
-                        f"{remaining} tasks outstanding (deadlock guard)"
-                    )
-                    self._abort(pending, deadlock)
-                    break
-                remaining -= 1
-                if exc is not None:
-                    failure = (task, exc)
-                    self._abort(pending, exc)
-                    break
-                for child in children.get(task.tid, ()):
-                    waiting[child.tid] -= 1
-                    if waiting[child.tid] == 0:
-                        pool.submit(run, child)
-        # The `with` block joined every worker: threads woken by the
-        # poison fail fast and none outlive this call.
-        if failure is not None:
-            task, exc = failure
-            injected = exc if isinstance(exc, RankFailure) else (
-                exc.__cause__ if isinstance(exc.__cause__, RankFailure) else None
-            )
-            if injected is not None:
-                raise injected
-            raise EngineExecutionError(
-                f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
-            ) from exc
-        if deadlock is not None:
-            raise deadlock
-
-    # ------------------------------------------------------------------
-    # Compiled execution (repro.engine.compile)
-    # ------------------------------------------------------------------
-    def _compiled(self, plan: Plan) -> CompiledPlan | None:
-        """The compiled schedule for ``plan``, rebuilt when it grows."""
+    def _compile(self, plan: Plan) -> None:
+        """Compile and bind ``plan``'s schedule, rebuilt when it grows."""
         if self._cplan_for is plan and self._cplan.n_tasks == len(plan.tasks):
-            return self._cplan
+            return
         cplan = compile_plan(plan, self.workers)
         self._bound = [
             _BoundStream(self, cplan, widx) for widx in range(cplan.workers)
         ]
         self._cplan = cplan
         self._cplan_for = plan
-        return cplan
 
     def _execute_compiled(self, pending: list[Task], timeout: float) -> None:
         """Run the not-done remainder on the compiled worker streams."""
@@ -436,7 +235,7 @@ class Engine:
                 )
         if self.workers == 1:
             # One stream, zero rendezvous: run in the caller's thread
-            # (no guard, matching the uncompiled inline mode).
+            # (nothing can block, so no guard).
             self._run_stream(self._bound[0], None)
             return
         live = [
@@ -445,9 +244,9 @@ class Engine:
         ]
         if not live:
             return
-        self._execute_compiled_pool(live, pending, timeout)
+        self._execute_pool(live, pending, timeout)
 
-    def _execute_compiled_pool(
+    def _execute_pool(
         self, live: list["_BoundStream"], pending: list[Task], timeout: float
     ) -> None:
         """One pool job per live stream, with a progress-based guard.
@@ -455,8 +254,7 @@ class Engine:
         Streams block *inside* rendezvous fetches rather than parking in
         the scheduler, so the deadlock guard watches a per-task progress
         counter: no task completing for ``timeout`` seconds while work
-        is outstanding trips :class:`EngineDeadlockError`, mirroring the
-        uncompiled driver's ``done_q.get(timeout=...)`` guard.
+        is outstanding trips :class:`EngineDeadlockError`.
         """
         progress = self._progress
         done_q: "queue.SimpleQueue[BaseException | None]" = queue.SimpleQueue()
@@ -522,8 +320,8 @@ class Engine:
         Fused steps execute their members back to back and report one
         telemetry span carrying ``fused_n``; a step interrupted by a
         failure resumes at its first not-done member on the next attempt
-        (the per-task ``done`` flags are the resume points), which keeps
-        fault-injection step counts identical to the uncompiled path.
+        (the per-task ``done`` flags are the resume points), so every
+        task consults the fault plan exactly once per attempt it runs in.
         """
         fp = self.fault_plan
         waits = bs.waits

@@ -84,14 +84,6 @@ def _scan_lazies(obj: Any, out: list["LazyArray"]) -> None:
             _scan_lazies(o, out)
 
 
-def _plan_of(lazies: list["LazyArray"]) -> Plan:
-    plan = lazies[0].plan
-    for la in lazies[1:]:
-        if la.plan is not plan:
-            raise EngineError("lazy operands belong to different execution plans")
-    return plan
-
-
 def _rank_hint(lazies: list["LazyArray"]) -> int | None:
     """Best-effort rank tag: the first operand that carries one."""
     for la in lazies:

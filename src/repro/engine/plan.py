@@ -11,13 +11,15 @@ appended here as a :class:`Task` instead of being computed.  A task is
   allocation), so the plan decomposes into per-rank task streams;
 * **dataflow-linked**: its arguments may contain :class:`Ref` handles
   to earlier tasks' results, which are the DAG edges the executor
-  honors (cross-rank edges additionally pass through a blocking
-  :class:`~repro.collectives.rendezvous.Rendezvous` at run time).
+  honors (edges between workers additionally pass through a blocking
+  rendezvous at run time).
 
-Tasks within one rank's stream execute in program order (each task
-implicitly depends on its rank's previous task); tasks of different
-ranks run concurrently whenever their dataflow allows -- which is the
-paper's DAG semantics executed for real instead of simulated.
+The engines run a plan through its compiled schedule
+(:func:`repro.engine.compile.compile_plan`): rank ``r``'s stream
+executes in program order on worker ``r % workers``, and streams on
+different workers run concurrently, synchronizing only where a value
+crosses between them -- which is the paper's DAG semantics executed
+for real instead of simulated.
 
 Input leaves (:meth:`Plan.add_input`) hold the distributed input blocks
 and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
@@ -68,7 +70,7 @@ class Task:
     """
 
     __slots__ = (
-        "tid", "rank", "label", "fn", "args", "deps",
+        "tid", "rank", "label", "fn", "args",
         "value", "done", "is_input", "rendezvous",
     )
 
@@ -79,19 +81,17 @@ class Task:
         label: str,
         fn: Callable[..., Any] | None,
         args: tuple,
-        deps: list["Task"],
     ) -> None:
         self.tid = tid
         self.rank = rank
         self.label = label
         self.fn = fn
         self.args = args
-        self.deps = deps
         self.value: Any = None
         self.done = False
         self.is_input = False
-        #: Set lazily by the executor when a cross-rank consumer exists;
-        #: the value handoff then goes through this blocking slot.
+        #: Set by the thread engine when a consumer on another worker
+        #: exists; the value handoff then goes through this blocking slot.
         self.rendezvous = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -135,10 +135,12 @@ class Plan:
     ) -> Task:
         """Append a task computing ``fn(*args)`` on ``rank``'s stream.
 
-        Dependencies are inferred from the :class:`Ref` handles inside
-        ``args``; a task with a rank additionally depends on that
-        rank's previous task (program order), and every task depends on
-        the most recent barrier.
+        Dataflow edges are the :class:`Ref` handles inside ``args``; a
+        task with a rank additionally follows that rank's previous task
+        (program order), and every task follows the most recent
+        barrier.  Those predecessors leave the open frontier that
+        :meth:`barrier` joins and ``LazyArray`` consults before
+        mutating a buffer in place.
         """
         deps: list[Task] = []
         _scan_refs(args, deps)
@@ -147,7 +149,7 @@ class Plan:
             deps.append(prev)
         if self._barrier_task is not None and self._barrier_task not in deps:
             deps.append(self._barrier_task)
-        task = Task(len(self.tasks), rank, label, fn, args, deps)
+        task = Task(len(self.tasks), rank, label, fn, args)
         self.tasks.append(task)
         if rank is not None:
             self._tails[rank] = task
@@ -158,7 +160,7 @@ class Plan:
 
     def add_input(self, value: Any, label: str = "input") -> Task:
         """Append an input leaf holding ``value`` (the replay boundary)."""
-        task = Task(len(self.tasks), None, label, None, (), [])
+        task = Task(len(self.tasks), None, label, None, ())
         task.value = value
         task.done = True
         task.is_input = True
@@ -170,10 +172,8 @@ class Plan:
         self, fn: Callable[..., Any], args: tuple = (), label: str = "const"
     ) -> Task:
         """Append a dependency-free constant-producing task (e.g. zeros)."""
-        task = Task(len(self.tasks), None, label, fn, args, [])
+        task = Task(len(self.tasks), None, label, fn, args)
         self.tasks.append(task)
-        if self._barrier_task is not None:
-            task.deps.append(self._barrier_task)
         self._frontier[task.tid] = task
         return task
 
@@ -186,8 +186,7 @@ class Plan:
         """
         if not self._frontier:
             return None
-        joined = list(self._frontier.values())
-        task = Task(len(self.tasks), None, "barrier", lambda *_: None, (), joined)
+        task = Task(len(self.tasks), None, "barrier", lambda *_: None, ())
         self.tasks.append(task)
         self._frontier = {task.tid: task}
         self._barrier_task = task

@@ -56,6 +56,7 @@ from repro.machine.exceptions import FaultRecoveryError, ParameterError
 from repro.qr.caqr1d import qr_1d_caqr_eg
 from repro.qr.tsqr import tsqr
 from repro.util import balanced_sizes
+from repro.workloads.sweeps import check_params
 
 __all__ = [
     "CODED_ALGORITHMS",
@@ -312,7 +313,6 @@ def run_coded_qr(
     backend: str = "parallel",
     workers: int | None = None,
     cost_params=None,
-    compile: bool | None = None,
     **params,
 ) -> CodedRunResult:
     """Run a checksum-protected TSQR / CAQR-1D factorization.
@@ -331,6 +331,7 @@ def run_coded_qr(
         raise ParameterError(
             f"run_coded_qr supports {CODED_ALGORITHMS}, got {algorithm!r}"
         )
+    check_params(params, ("b", "eps"), f"run_coded_qr({algorithm!r})")
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
     impl.require(algorithm)
@@ -346,7 +347,6 @@ def run_coded_qr(
         workers=workers,
         fault_plan=fault_plan,
         recovery=policy,
-        compile=compile,
     )
     layout = BlockRowLayout(balanced_sizes(m, P))
     dA = DistMatrix.from_global(machine, A, layout)

@@ -25,7 +25,7 @@ from repro.dist import (
     head_layout,
 )
 from repro.dist.blockcyclic import BlockCyclic2D, choose_grid_2d
-from repro.machine import CostParams, CostReport, Machine
+from repro.machine import CostParams, CostReport, Machine, ParameterError
 from repro.matmul import Operand, mm1d_broadcast, mm1d_reduce, mm3d
 from repro.qr import (
     apply_q_1d,
@@ -47,6 +47,11 @@ QR_ALGORITHMS = ("tsqr", "house1d", "caqr1d", "house2d", "caqr2d", "caqr3d")
 #: Everything runnable by name: the QR factorizations plus the wide-QR
 #: reduction, the Q-application primitive, and the 1D/3D multiplications.
 ALGORITHMS = QR_ALGORITHMS + ("wide", "applyq", "mm1d", "mm3d")
+
+#: Algorithm keywords :func:`drive` reads (each algorithm uses a subset).
+ALGORITHM_PARAMS = frozenset(
+    ("b", "bstar", "bb", "eps", "delta", "method", "pr", "pc")
+)
 
 #: Deprecated alias: since the backend registry landed, every algorithm
 #: runs on the parallel engine (capability gating, if a backend needs
@@ -171,6 +176,21 @@ def _grid_slicer(A_bc: BlockCyclic2D):
     return slicer
 
 
+def check_params(params: dict, accepted, where: str) -> None:
+    """Raise :class:`ParameterError` naming any key not in ``accepted``.
+
+    Keyword arguments are forwarded as a dict and read with ``get``, so
+    without this check a misspelled (or retired) keyword would be
+    dropped without a word.
+    """
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ParameterError(
+            f"{where}: unknown keyword(s) {unknown}; accepted: "
+            f"{sorted(accepted)}"
+        )
+
+
 def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     """Run ``algorithm`` on ``machine`` with the standard distribution.
 
@@ -180,8 +200,10 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     ``(factors, diag_fn, slicer)``: the result arrays (lazy on a
     parallel machine), a ``diag_fn(A, factors)`` validation closure,
     and a ``slicer(X)`` producing the input blocks in plan-leaf order
-    (the replay boundary).
+    (the replay boundary).  A key of ``params`` outside
+    :data:`ALGORITHM_PARAMS` raises :class:`ParameterError`.
     """
+    check_params(params, ALGORITHM_PARAMS, f"algorithm {algorithm!r}")
     m, n = A.shape
     P = machine.P
 
@@ -281,7 +303,6 @@ def run_qr(
     workers: int | None = None,
     fault_plan=None,
     recovery=None,
-    compile: bool | None = None,
     **params,
 ) -> RunResult:
     """Run ``algorithm`` on global array ``A`` over ``P`` simulated processors.
@@ -310,10 +331,6 @@ def run_qr(
     them (see :mod:`repro.faults.policy`); both are forwarded to the
     :class:`~repro.machine.Machine`.  For checksum-protected runs with
     spare ranks, use :func:`repro.faults.run_coded_qr` instead.
-
-    ``compile=False`` disables the :mod:`repro.engine.compile` pass on
-    the engine backends (the ``--no-compile`` A/B baseline); ``None``
-    keeps the engine default (on).
     """
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
@@ -325,7 +342,7 @@ def run_qr(
     m, n = A.shape
     machine = Machine(
         P, params=cost_params, backend=backend, workers=workers,
-        fault_plan=fault_plan, recovery=recovery, compile=compile,
+        fault_plan=fault_plan, recovery=recovery,
     )
 
     factors, diag_fn, _slicer = drive(algorithm, machine, A, params, validate)

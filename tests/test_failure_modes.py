@@ -143,6 +143,41 @@ class TestAlgorithmPreconditions:
             qr_house_2d(machine=Machine(2), A_global=gaussian(4, 8, seed=0), bb=2)
 
 
+class TestUnknownKeywords:
+    """Algorithm keywords are checked where they enter, not dropped.
+
+    ``compile`` is a retired keyword (the engines have one execution
+    path); a caller still passing it must hear about it.
+    """
+
+    KEYWORDS = [{"bogus": False}, {"compile": False}]
+
+    @pytest.mark.parametrize("kw", KEYWORDS, ids=["bogus", "compile"])
+    def test_run_qr_rejects(self, kw):
+        from repro.workloads import run_qr
+
+        with pytest.raises(ParameterError, match=f"{next(iter(kw))}.*accepted"):
+            run_qr("tsqr", gaussian(64, 4, seed=0), P=4, **kw)
+
+    @pytest.mark.parametrize("kw", KEYWORDS, ids=["bogus", "compile"])
+    def test_run_many_job_rejects(self, kw):
+        from repro.engine import QRJob, clear_plan_cache, run_many
+
+        try:
+            with pytest.raises(ParameterError, match=f"{next(iter(kw))}.*accepted"):
+                run_many([QRJob("tsqr", gaussian(64, 4, seed=0), params=kw)],
+                         P=4, workers=1)
+        finally:
+            clear_plan_cache()
+
+    @pytest.mark.parametrize("kw", KEYWORDS, ids=["bogus", "compile"])
+    def test_run_coded_qr_rejects(self, kw):
+        from repro.faults import run_coded_qr
+
+        with pytest.raises(ParameterError, match=f"{next(iter(kw))}.*accepted"):
+            run_coded_qr("tsqr", gaussian(64, 4, seed=0), P=4, workers=1, **kw)
+
+
 class TestDegenerateInputsStillWork:
     """Edge shapes must succeed, not crash."""
 

@@ -276,6 +276,38 @@ class TestPoolLifecycle:
         assert plan.tasks[b.tid].value == 21
         engine.close()
 
+    def test_killed_worker_between_jobs_reships_the_pool(self):
+        # A worker lost between two replays (OOM kill, operator signal)
+        # must not leave the next job waiting out the silence guard.
+        import signal
+
+        from repro.engine import QRJob, clear_plan_cache, run_many
+        from repro.engine.batch import _PLAN_CACHE
+
+        clear_plan_cache()
+        A = gaussian(256, 16, seed=12)
+        try:
+            (first,) = run_many([QRJob("tsqr", A)], P=4, workers=2,
+                                validate=True, backend="parallel-mp")
+            (cached,) = _PLAN_CACHE.values()
+            engine = cached.machine.engine
+            # Bound the guard so a regression fails in seconds, not minutes.
+            engine.timeout = 1.0
+            victim = engine._pool[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not engine.alive
+            t0 = time.perf_counter()
+            (second,) = run_many([QRJob("tsqr", A)], P=4, workers=2,
+                                 validate=True, backend="parallel-mp")
+            assert time.perf_counter() - t0 < 5.0
+            assert engine.alive and victim not in engine._pool
+            assert second.report == first.report
+            assert second.diagnostics.residual == first.diagnostics.residual
+        finally:
+            clear_plan_cache()
+            gc.collect()
+
     def test_run_qr_pool_does_not_outlive_the_machine(self):
         before = {p.pid for p in multiprocessing.active_children()}
         result = run_qr("tsqr", gaussian(96, 8, seed=2), P=4,
